@@ -1,0 +1,62 @@
+//! A small seeded generator for request streams (SplitMix64), so a
+//! stream depends only on the seed and never on the host or the build.
+
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// A generator for one stream: `seed` from the command line, `stream`
+    /// naming the workload and client thread, so streams are independent.
+    pub fn new(seed: u64, stream: u64) -> Rng {
+        let mut r = Rng(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F));
+        r.next_u64();
+        r
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        ((self.next_u64() as u128 * n as u128) >> 64) as usize
+    }
+}
+
+/// Zipf(s) over ranks `0..n`: rank 0 is the most popular.
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    cdf: Vec<f64>,
+}
+
+impl Zipf {
+    pub fn new(n: usize, s: f64) -> Zipf {
+        let mut acc = 0.0;
+        let mut cdf: Vec<f64> = (1..=n)
+            .map(|k| {
+                acc += 1.0 / (k as f64).powf(s);
+                acc
+            })
+            .collect();
+        for c in &mut cdf {
+            *c /= acc;
+        }
+        Zipf { cdf }
+    }
+
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let u = rng.unit();
+        self.cdf
+            .partition_point(|&c| c <= u)
+            .min(self.cdf.len() - 1)
+    }
+}
