@@ -5,7 +5,9 @@
 //! (§1–§2). This store provides exactly those:
 //!
 //! * models are stored **serialized** (the bytes a `varbinary(max)` column
-//!   would hold) and deserialized on load, so storage is honest;
+//!   would hold) and deserialized on load, so storage is honest. Only the
+//!   latest version also keeps its deserialized pipeline; an older version
+//!   is deserialized from its bytes when asked for;
 //! * every store/update appends a new **version** atomically; readers
 //!   always see a consistent latest version;
 //! * every mutation is recorded in an **audit log**.
@@ -49,16 +51,17 @@ pub struct AuditEntry {
     pub version: u32,
 }
 
-#[derive(Clone)]
-struct StoredVersion {
-    bytes: Arc<Vec<u8>>,
-    /// Deserialized cache (what a warm model cache holds).
-    pipeline: Arc<Pipeline>,
+/// Every version of one model.
+struct StoredModel {
+    /// Serialized bytes of every version, oldest first.
+    versions: Vec<Arc<Vec<u8>>>,
+    /// The latest version, deserialized (what a warm model cache holds).
+    latest: Arc<Pipeline>,
 }
 
 #[derive(Default)]
 struct Inner {
-    models: HashMap<String, Vec<StoredVersion>>,
+    models: HashMap<String, StoredModel>,
     audit: Vec<AuditEntry>,
     seq: u64,
 }
@@ -78,14 +81,24 @@ impl ModelStore {
     /// (1-based). Storing an existing name appends a version — the
     /// transactional model update of the paper's §2.
     pub fn store(&self, name: &str, pipeline: Pipeline) -> u32 {
-        let bytes = serialize::to_bytes(&pipeline);
+        let bytes = Arc::new(serialize::to_bytes(&pipeline));
+        let pipeline = Arc::new(pipeline);
         let mut inner = self.inner.write();
-        let versions = inner.models.entry(name.to_string()).or_default();
-        versions.push(StoredVersion {
-            bytes: Arc::new(bytes),
-            pipeline: Arc::new(pipeline),
-        });
-        let version = versions.len() as u32;
+        let (version, replaced) = match inner.models.get_mut(name) {
+            Some(model) => {
+                model.versions.push(bytes);
+                let replaced = std::mem::replace(&mut model.latest, pipeline);
+                (model.versions.len() as u32, Some(replaced))
+            }
+            None => {
+                let model = StoredModel {
+                    versions: vec![bytes],
+                    latest: pipeline,
+                };
+                inner.models.insert(name.to_string(), model);
+                (1, None)
+            }
+        };
         let action = if version == 1 { "store" } else { "update" };
         inner.seq += 1;
         let seq = inner.seq;
@@ -95,6 +108,10 @@ impl ModelStore {
             model: name.to_string(),
             version,
         });
+        // Free the replaced pipeline (when this held its last reference)
+        // after the lock, not under it.
+        drop(inner);
+        drop(replaced);
         version
     }
 
@@ -104,28 +121,34 @@ impl ModelStore {
         inner
             .models
             .get(name)
-            .and_then(|v| v.last())
-            .map(|v| v.pipeline.clone())
+            .map(|m| m.latest.clone())
             .ok_or_else(|| StoreError::NotFound(name.to_string()))
     }
 
-    /// A specific version (1-based).
+    /// A specific version (1-based). The latest is served from memory; an
+    /// older one is deserialized from its stored bytes.
     pub fn get_version(&self, name: &str, version: u32) -> Result<Arc<Pipeline>, StoreError> {
-        let inner = self.inner.read();
-        let versions = inner
-            .models
-            .get(name)
-            .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
-        versions
-            .get(version.checked_sub(1).ok_or(StoreError::VersionNotFound {
-                model: name.to_string(),
-                version,
-            })? as usize)
-            .map(|v| v.pipeline.clone())
-            .ok_or(StoreError::VersionNotFound {
-                model: name.to_string(),
-                version,
-            })
+        let bytes = {
+            let inner = self.inner.read();
+            let model = inner
+                .models
+                .get(name)
+                .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
+            if version as usize == model.versions.len() {
+                return Ok(model.latest.clone());
+            }
+            version
+                .checked_sub(1)
+                .and_then(|i| model.versions.get(i as usize))
+                .cloned()
+                .ok_or(StoreError::VersionNotFound {
+                    model: name.to_string(),
+                    version,
+                })?
+        };
+        serialize::from_bytes(&bytes)
+            .map(Arc::new)
+            .map_err(|e| StoreError::Corrupt(e.to_string()))
     }
 
     /// The stored bytes of the latest version (what `SELECT model FROM
@@ -135,8 +158,8 @@ impl ModelStore {
         inner
             .models
             .get(name)
-            .and_then(|v| v.last())
-            .map(|v| v.bytes.clone())
+            .and_then(|m| m.versions.last())
+            .cloned()
             .ok_or_else(|| StoreError::NotFound(name.to_string()))
     }
 
@@ -150,7 +173,7 @@ impl ModelStore {
     /// Delete a model entirely.
     pub fn delete(&self, name: &str) -> Result<(), StoreError> {
         let mut inner = self.inner.write();
-        let versions = inner
+        let model = inner
             .models
             .remove(name)
             .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
@@ -160,8 +183,10 @@ impl ModelStore {
             seq,
             action: "delete".to_string(),
             model: name.to_string(),
-            version: versions.len() as u32,
+            version: model.versions.len() as u32,
         });
+        drop(inner);
+        drop(model);
         Ok(())
     }
 
@@ -171,7 +196,7 @@ impl ModelStore {
             .read()
             .models
             .get(name)
-            .map(|v| v.len() as u32)
+            .map(|m| m.versions.len() as u32)
             .unwrap_or(0)
     }
 
@@ -238,6 +263,36 @@ mod tests {
         assert!(store.get_version("m", 3).is_err());
         assert!(store.get_version("m", 0).is_err());
         assert_eq!(store.latest_version("m"), 2);
+    }
+
+    #[test]
+    fn every_version_scores_like_the_pipeline_stored() {
+        // Only the latest version stays deserialized; older ones come back
+        // from their bytes and must score bit for bit like the original.
+        let store = ModelStore::new();
+        let stored: Vec<Pipeline> = [0.1, -1.0 / 3.0, 2.0f64.sqrt()]
+            .into_iter()
+            .map(pipeline)
+            .collect();
+        for (k, p) in stored.iter().enumerate() {
+            assert_eq!(store.store("m", p.clone()), k as u32 + 1);
+        }
+        let inputs = [0.7, -3.25, 1e-9, 12345.678];
+        for (k, p) in stored.iter().enumerate() {
+            let want = p.predict_raw(&inputs, inputs.len()).unwrap();
+            let got = store
+                .get_version("m", k as u32 + 1)
+                .unwrap()
+                .predict_raw(&inputs, inputs.len())
+                .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "version {}", k + 1);
+        }
+        assert!(Arc::ptr_eq(
+            &store.get("m").unwrap(),
+            &store.get_version("m", 3).unwrap()
+        ));
+        assert_eq!(store.latest_version("m"), 3);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use raven_data::{Catalog, Column, RecordBatch, Schema, Table, Value};
 use raven_ir::{AggFunc, Expr, Plan};
 use raven_obs::SpanRecorder;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, Ordering};
 #[allow(unused_imports)]
 use std::sync::Arc;
@@ -324,12 +325,12 @@ impl<'a> Executor<'a> {
                 Ok(t.batch().clone())
             }
             Plan::Filter { input, predicate } => {
+                // One pass over the whole batch: a predicate costs a few
+                // ns a row, less than splitting the batch into morsels
+                // (copying every column) and starting worker threads.
                 let batch = self.exec(input)?;
-                let filtered = self.morsel_map(&batch, true, |morsel| {
-                    let mask = evaluate_predicate(predicate, morsel)?;
-                    Ok(morsel.filter(&mask)?)
-                })?;
-                Ok(RecordBatch::concat(&filtered)?)
+                let mask = evaluate_predicate(predicate, &batch)?;
+                Ok(batch.filter(&mask)?)
             }
             Plan::Project { input, exprs } => {
                 let batch = self.exec(input)?;
@@ -500,6 +501,8 @@ impl<'a> Executor<'a> {
             .collect()
     }
 
+    /// Inner equi-join. Output rows are ordered by left row, then by
+    /// right row, whichever side the table is built on.
     fn hash_join(
         &self,
         left: &RecordBatch,
@@ -509,24 +512,24 @@ impl<'a> Executor<'a> {
     ) -> Result<RecordBatch> {
         let lcol = left.column_by_name(left_key)?;
         let rcol = right.column_by_name(right_key)?;
-        // Build on the right side.
-        let mut build: HashMap<JoinKey, Vec<usize>> = HashMap::with_capacity(right.num_rows());
-        for i in 0..rcol.len() {
-            build
-                .entry(JoinKey::from_value(&rcol.get(i)?)?)
-                .or_default()
-                .push(i);
-        }
-        let mut left_idx = Vec::new();
-        let mut right_idx = Vec::new();
-        for i in 0..lcol.len() {
-            if let Some(matches) = build.get(&JoinKey::from_value(&lcol.get(i)?)?) {
-                for &j in matches {
-                    left_idx.push(i);
-                    right_idx.push(j);
+        let (left_idx, right_idx) = match (lcol, rcol) {
+            (Column::Int64(l), Column::Int64(r)) => {
+                match DenseHeads::new(build_side(l, r).0, l.len() + r.len()) {
+                    Some(heads) => join_indices(l, r, |x| *x, heads),
+                    None => join_indices(l, r, |x| *x, hash_heads(l, r)),
                 }
             }
-        }
+            // Bit-pattern equality: NaN matches NaN, 0.0 does not match -0.0.
+            (Column::Float64(l), Column::Float64(r)) => {
+                join_indices(l, r, |x| x.to_bits(), hash_heads(l, r))
+            }
+            (Column::Bool(l), Column::Bool(r)) => join_indices(l, r, |x| *x, hash_heads(l, r)),
+            (Column::Utf8(l), Column::Utf8(r)) => {
+                join_indices(l, r, |x| x.as_str(), hash_heads(l, r))
+            }
+            // Keys of different types never compare equal.
+            _ => (Vec::new(), Vec::new()),
+        };
         let lout = left.take(&left_idx)?;
         let rout = right.take(&right_idx)?;
         let schema = Arc::new(lout.schema().join(rout.schema()));
@@ -536,24 +539,143 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Hashable join/group key.
+/// Marks the end of a chain, or an empty dense slot.
+const END: usize = usize::MAX;
+
+/// `(build, probe, build_is_left)`: the join builds on the smaller input,
+/// the right one on a tie.
+fn build_side<'a, T>(left: &'a [T], right: &'a [T]) -> (&'a [T], &'a [T], bool) {
+    if left.len() < right.len() {
+        (left, right, true)
+    } else {
+        (right, left, false)
+    }
+}
+
+/// Hashed heads sized for the build side. The default hasher stays:
+/// join keys are table data.
+fn hash_heads<T, K>(left: &[T], right: &[T]) -> HashMap<K, usize> {
+    HashMap::with_capacity(build_side(left, right).0.len())
+}
+
+/// The first build row of each key's chain.
+trait ChainHeads<K> {
+    /// Start `key`'s chain at `row`; returns the row it started at before.
+    fn push_front(&mut self, key: K, row: usize) -> Option<usize>;
+    /// The first build row with `key`.
+    fn first(&self, key: &K) -> Option<usize>;
+}
+
+impl<K: Hash + Eq> ChainHeads<K> for HashMap<K, usize> {
+    fn push_front(&mut self, key: K, row: usize) -> Option<usize> {
+        self.insert(key, row)
+    }
+
+    fn first(&self, key: &K) -> Option<usize> {
+        self.get(key).copied()
+    }
+}
+
+/// Heads for Int64 build keys that span a narrow range, indexed by
+/// `key - min`: a probe is a bounds check and a load instead of a hash.
+struct DenseHeads {
+    min: i64,
+    first: Vec<usize>,
+}
+
+impl DenseHeads {
+    /// `None` when `keys` is empty or spans more than `max_span` values,
+    /// which bounds the table by the join's input size.
+    fn new(keys: &[i64], max_span: usize) -> Option<DenseHeads> {
+        let min = *keys.iter().min()?;
+        let max = *keys.iter().max()?;
+        let span = usize::try_from(max.abs_diff(min)).ok()?.checked_add(1)?;
+        (span <= max_span).then(|| DenseHeads {
+            min,
+            first: vec![END; span],
+        })
+    }
+
+    fn slot(&self, key: i64) -> Option<usize> {
+        let offset = usize::try_from(key.checked_sub(self.min)?).ok()?;
+        (offset < self.first.len()).then_some(offset)
+    }
+}
+
+impl ChainHeads<i64> for DenseHeads {
+    fn push_front(&mut self, key: i64, row: usize) -> Option<usize> {
+        // Build keys lie in [min, max] by construction.
+        let slot = self.slot(key)?;
+        let before = std::mem::replace(&mut self.first[slot], row);
+        (before != END).then_some(before)
+    }
+
+    fn first(&self, key: &i64) -> Option<usize> {
+        let row = self.first[self.slot(*key)?];
+        (row != END).then_some(row)
+    }
+}
+
+/// Matching `(left, right)` row pairs of an equi-join on `key`, ordered by
+/// left row, then right row.
+///
+/// The table is built on the smaller input as chains: `heads` gives a
+/// key's first build row and `next[row]` the following build row with the
+/// same key. Built back to front, each chain runs in ascending row order.
+/// When the left input is the build side, the pairs come out right-major
+/// and are sorted back.
+fn join_indices<'a, T, K>(
+    left: &'a [T],
+    right: &'a [T],
+    key: impl Fn(&'a T) -> K,
+    mut heads: impl ChainHeads<K>,
+) -> (Vec<usize>, Vec<usize>) {
+    let (build, probe, build_left) = build_side(left, right);
+    let mut next = vec![END; build.len()];
+    for (row, value) in build.iter().enumerate().rev() {
+        if let Some(first) = heads.push_front(key(value), row) {
+            next[row] = first;
+        }
+    }
+    let mut probe_idx = Vec::new();
+    let mut build_idx = Vec::new();
+    for (p, value) in probe.iter().enumerate() {
+        let Some(mut row) = heads.first(&key(value)) else {
+            continue;
+        };
+        while row != END {
+            probe_idx.push(p);
+            build_idx.push(row);
+            row = next[row];
+        }
+    }
+    if build_left {
+        let mut pairs: Vec<(usize, usize)> = build_idx.into_iter().zip(probe_idx).collect();
+        pairs.sort_unstable();
+        pairs.into_iter().unzip()
+    } else {
+        (probe_idx, build_idx)
+    }
+}
+
+/// Hashable group key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum JoinKey {
+enum GroupKey {
     Int(i64),
     Str(String),
     Bool(bool),
-    /// f64 keys hashed by bit pattern (exact-match equi-join semantics).
+    /// f64 keys hashed by bit pattern (exact-match grouping).
     Bits(u64),
 }
 
-impl JoinKey {
-    fn from_value(v: &Value) -> Result<JoinKey> {
-        Ok(match v {
-            Value::Int64(x) => JoinKey::Int(*x),
-            Value::Utf8(s) => JoinKey::Str(s.clone()),
-            Value::Bool(b) => JoinKey::Bool(*b),
-            Value::Float64(f) => JoinKey::Bits(f.to_bits()),
-        })
+impl GroupKey {
+    fn from_value(v: &Value) -> GroupKey {
+        match v {
+            Value::Int64(x) => GroupKey::Int(*x),
+            Value::Utf8(s) => GroupKey::Str(s.clone()),
+            Value::Bool(b) => GroupKey::Bool(*b),
+            Value::Float64(f) => GroupKey::Bits(f.to_bits()),
+        }
     }
 }
 
@@ -689,13 +811,13 @@ fn hash_aggregate(
         .collect::<std::result::Result<_, _>>()?;
 
     // Group index: key → slot, preserving first-seen order.
-    let mut slots: HashMap<Vec<JoinKey>, usize> = HashMap::new();
+    let mut slots: HashMap<Vec<GroupKey>, usize> = HashMap::new();
     let mut group_values: Vec<Vec<Value>> = Vec::new();
     let mut accs: Vec<Vec<Acc>> = Vec::new();
     for r in 0..batch.num_rows() {
         let mut key = Vec::with_capacity(group_cols.len());
         for col in &group_cols {
-            key.push(JoinKey::from_value(&col.get(r)?)?);
+            key.push(GroupKey::from_value(&col.get(r)?));
         }
         let slot = match slots.get(&key) {
             Some(&s) => s,
@@ -1015,6 +1137,85 @@ mod tests {
         .unwrap();
         assert_eq!(serial.num_rows(), parallel.num_rows());
         assert_eq!(serial.batch(), parallel.batch());
+    }
+
+    #[test]
+    fn parallel_projection_matches_serial() {
+        // Expression projections still split into morsels above the
+        // threshold; the concatenated parts equal the serial result.
+        let cat = Catalog::new();
+        let n = 50_000;
+        let schema = Schema::from_pairs(&[("x", DataType::Float64)]).into_shared();
+        let t = Table::try_new(
+            schema,
+            vec![Column::Float64((0..n).map(|i| (i % 997) as f64).collect())],
+        )
+        .unwrap();
+        cat.register("big", t).unwrap();
+        let plan = Plan::Project {
+            input: Box::new(scan(&cat, "big")),
+            exprs: vec![(
+                Expr::binary(raven_ir::BinOp::Multiply, Expr::col("x"), Expr::lit(3i64)),
+                "x3".into(),
+            )],
+        };
+        let serial = Executor::new(&cat, &NoopScorer, ExecOptions::serial())
+            .execute(&plan)
+            .unwrap();
+        let parallel = Executor::new(
+            &cat,
+            &NoopScorer,
+            ExecOptions {
+                parallelism: 4,
+                parallel_threshold: 1000,
+            },
+        )
+        .execute(&plan)
+        .unwrap();
+        assert_eq!(serial.num_rows(), n);
+        assert_eq!(serial.batch(), parallel.batch());
+    }
+
+    #[test]
+    fn filter_at_parallel_threshold_matches_serial() {
+        // Exactly `parallel_threshold` rows, with a Utf8 column carried
+        // through: the default options give the serial result row for row.
+        let n = ExecOptions::default().parallel_threshold;
+        let cat = Catalog::new();
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Int64),
+            ("age", DataType::Float64),
+            ("gender", DataType::Utf8),
+        ])
+        .into_shared();
+        let t = Table::try_new(
+            schema,
+            vec![
+                Column::Int64((0..n as i64).collect()),
+                Column::Float64((0..n).map(|i| (i % 83) as f64).collect()),
+                Column::Utf8(
+                    (0..n)
+                        .map(|i| if i % 3 == 0 { "F" } else { "M" }.to_string())
+                        .collect(),
+                ),
+            ],
+        )
+        .unwrap();
+        cat.register("patients", t).unwrap();
+        let plan = Plan::Filter {
+            input: Box::new(scan(&cat, "patients")),
+            predicate: Expr::col("age")
+                .gt(Expr::lit(40i64))
+                .and(Expr::col("gender").eq(Expr::lit("F"))),
+        };
+        let serial = Executor::new(&cat, &NoopScorer, ExecOptions::serial())
+            .execute(&plan)
+            .unwrap();
+        let default = Executor::new(&cat, &NoopScorer, ExecOptions::default())
+            .execute(&plan)
+            .unwrap();
+        assert!(serial.num_rows() > 0 && serial.num_rows() < n);
+        assert_eq!(serial.batch(), default.batch());
     }
 
     #[test]
